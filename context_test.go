@@ -3,9 +3,34 @@ package mmdb
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// countdownCtx is a live context whose Err starts reporting cancellation
+// once it has been consulted left times: a cancellation delivered at an
+// exact point of whatever is polling it.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdownCtx(n int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
 
 // TestConfigValidate: Validate reports the same errors Open would,
 // without touching the filesystem.
@@ -115,10 +140,11 @@ func TestDBCheckpointContext(t *testing.T) {
 	}
 }
 
-// TestDBRecoverContext: recovery is cancellable up front and between
-// phases, and a cancelled recovery leaves the directory recoverable —
-// RecoverContext(Background) afterwards behaves exactly like Recover
-// (which is defined as RecoverContext with context.Background()).
+// TestDBRecoverContext: recovery is cancellable up front, between phases
+// and between log windows, and a cancelled recovery leaves the directory
+// recoverable — RecoverContext(Background) afterwards behaves exactly
+// like Recover (which is defined as RecoverContext with
+// context.Background()).
 func TestDBRecoverContext(t *testing.T) {
 	cfg := testConfig(t, FuzzyCopy)
 	cfg.RecoveryParallelism = 4
@@ -164,6 +190,85 @@ func TestDBRecoverContext(t *testing.T) {
 		}
 		if string(got[:len(want)]) != want {
 			t.Errorf("record %d = %q, want %q", rid, got[:len(want)], want)
+		}
+	}
+
+	// Cancellation in mid-scan. Behind the checkpoint goes a log of several
+	// scan windows, so both log passes poll ctx repeatedly — per window,
+	// and per batch routed to the redo workers — rather than per record.
+	if err := db2.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	db3, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, cfg.RecordBytes)
+	const rounds = 48 // × 512 records × 97-byte frames: over two 1 MiB windows
+	for round := 1; round <= rounds; round++ {
+		val[0] = byte(round)
+		if err := db3.Exec(func(tx *Txn) error {
+			for rid := 0; rid < cfg.NumRecords; rid++ {
+				if err := tx.Write(uint64(rid), val); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db3.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One full recovery under a context that never cancels counts the
+	// polls; cancelling at each of them in turn must stop recovery there.
+	probe := newCountdownCtx(math.MaxInt64)
+	db4, rep, err := RecoverContext(probe, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db4.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	polls := math.MaxInt64 - probe.left.Load()
+	records := int64(rep.RecordsScanned)
+	if rep.LogBytesRead < 2<<20 || polls < 8 || polls > records/10 {
+		t.Fatalf("recovery of %d records (%d log bytes) polled ctx %d times; want once per window and batch, not per record",
+			records, rep.LogBytesRead, polls)
+	}
+	t.Logf("recovery of %d log records polled ctx %d times", records, polls)
+	goroutines := runtime.NumGoroutine()
+	for n := int64(0); n < polls; n++ {
+		if _, _, err := RecoverContext(newCountdownCtx(n), cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RecoverContext cancelled at poll %d of %d = %v, want context.Canceled", n, polls, err)
+		}
+	}
+	// Every cancelled recovery joined its redo workers before returning.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines+2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d over %d cancelled recoveries", goroutines, runtime.NumGoroutine(), polls)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	db5, rep5, err := Recover(cfg)
+	if err != nil {
+		t.Fatalf("Recover after cancelled recoveries: %v", err)
+	}
+	defer db5.Close()
+	if rep5.RecordsScanned != rep.RecordsScanned || rep5.UpdatesApplied != rep.UpdatesApplied {
+		t.Errorf("recovery after cancellations scanned %d and applied %d, the uncancelled one %d and %d",
+			rep5.RecordsScanned, rep5.UpdatesApplied, rep.RecordsScanned, rep.UpdatesApplied)
+	}
+	for _, rid := range []uint64{0, 9, 11, uint64(cfg.NumRecords - 1)} {
+		got, err := db5.ReadRecord(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != byte(rounds) {
+			t.Errorf("record %d = %d after recovery, want round %d", rid, got[0], rounds)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"mmdb/internal/obs"
+	"mmdb/internal/storage"
+	"mmdb/internal/wal"
 )
 
 // TestExecWriteAllocationFree pins the single-record write+commit path
@@ -113,5 +116,54 @@ func TestTxnCommitAllocationBounded(t *testing.T) {
 	allocs := testing.AllocsPerRun(512, cycle)
 	if allocs > 4 {
 		t.Errorf("Begin/Write/Commit: %v allocs/op, want ≤ 4 (txn object, write map, image copy, map bucket)", allocs)
+	}
+}
+
+// TestRedoRouterAllocationFree pins the partitioned redo router at zero
+// heap allocations per routed record: the payload is copied into a
+// preallocated per-worker slab, a full slab crosses to its worker in one
+// channel send, and the worker hands it back through the free list.
+func TestRedoRouterAllocationFree(t *testing.T) {
+	st, err := storage.New(testStorage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	router := newRedoRouter(st, workers, testStorage().RecordBytes)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	routed := make([]int, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for b := range router.chans[w] {
+				routed[w] += len(b.ops)
+				router.applied(b)
+			}
+		}(w)
+	}
+
+	rec := &wal.Record{Type: wal.TypeUpdate, TxnID: 1, Data: make([]byte, testStorage().RecordBytes)}
+	next := uint64(0)
+	routeOne := func() {
+		rec.RecordID = next % uint64(testStorage().NumRecords)
+		next++
+		router.route(rec)
+	}
+	// Several times the batches in circulation, so slabs are recycled
+	// within the measured runs.
+	const runs = 4 * workers * (redoBatchesInFlight + 2) * redoBatchRecords
+	allocs := testing.AllocsPerRun(runs, routeOne)
+	router.finish()
+	wg.Wait()
+	if allocs != 0 {
+		t.Errorf("route: %v allocs/record, want 0", allocs)
+	}
+	total := 0
+	for _, n := range routed {
+		total += n
+	}
+	if total != int(next) {
+		t.Errorf("workers received %d of %d routed records", total, next)
 	}
 }

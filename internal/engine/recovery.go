@@ -84,12 +84,18 @@ func Recover(p Params) (*Engine, *RecoveryReport, error) {
 }
 
 // RecoverContext is Recover with cancellation: ctx is consulted between
-// backup segments, between log records, and between recovery phases,
-// never mid-segment or mid-record. A cancelled recovery returns ctx's
-// error with no engine; the on-disk state is untouched except possibly
-// a truncated torn log tail, which a later recovery would truncate
-// identically — re-running recovery after a cancellation is always
-// safe.
+// backup segments, between log windows (once per cancelStride of log
+// scanned, and per batch routed to the redo workers), and between recovery
+// phases, never mid-segment or mid-record. A cancelled recovery returns
+// ctx's error with no engine; the on-disk state is untouched except
+// possibly a truncated torn log tail, which a later recovery would
+// truncate identically — re-running recovery after a cancellation is
+// always safe.
+//
+// The log is read twice (DESIGN.md §15.2): pass 1 walks every surviving
+// record from the log's base and finds the intact end, the highest
+// transaction ID, the recovered checkpoint's begin marker and — from
+// ScanStartLSN on — the committed set; pass 2 replays from ScanStartLSN.
 func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, error) {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
@@ -169,9 +175,16 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 	eo.recBackupLoad.Set(rep.BackupLoadTime.Seconds())
 	eo.tracer.Record(obs.EvRecoveryPhase, obs.RecPhaseBackupLoad, uint64(rep.BackupLoadTime), 0)
 
-	// Scan the log. Pass 1 finds committed transactions; pass 2 applies
-	// their after-images in log order (record-level X locks held to commit
-	// make per-record log order match commit order, so last-in-log wins).
+	// Scan the log. Pass 1 walks every surviving record once, from the
+	// log's base: it finds the intact end and the highest transaction ID
+	// ever used (the re-opened engine must issue IDs above every ID still
+	// visible in the log — otherwise a new committed transaction could
+	// share an ID with an old aborted one, and a later recovery would
+	// replay the aborted redo records as committed), notes the recovered
+	// checkpoint's begin marker as it goes by, and from ScanStartLSN on
+	// collects the committed transactions. Pass 2 applies their
+	// after-images in log order (record-level X locks held to commit make
+	// per-record log order match commit order, so last-in-log wins).
 	scanSpan := eo.spans.Begin(obs.SpanRecLogScan, recSpan, 0, 0)
 	phaseBegan = time.Now()
 	logPath := filepath.Join(p.Dir, logFileName)
@@ -195,59 +208,62 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 			return nil, nil, err
 		}
 	}
-	// Walk the whole surviving log once: find the intact end and the
-	// highest transaction ID ever used. The re-opened engine must issue
-	// IDs above every ID still visible in the log — otherwise a new
-	// committed transaction could share an ID with an old aborted one,
-	// and a later recovery would replay the aborted redo records as
-	// committed.
-	var maxTxnID uint64
+	var (
+		maxTxnID                   uint64
+		markerSeen                 bool
+		markerLSN, markerScanStart wal.LSN
+	)
 	validEnd := reader.Base()
+	committed := make(map[uint64]bool)
+	cancel := scanCancel{ctx: ctx}
 	err = reader.Scan(reader.Base(), func(e wal.Entry) error {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := cancel.at(e.LSN); cerr != nil {
 			return cerr
 		}
 		validEnd = e.Next
-		if e.Rec.TxnID > maxTxnID {
-			maxTxnID = e.Rec.TxnID
+		rec := e.Rec
+		if rec.TxnID > maxTxnID {
+			maxTxnID = rec.TxnID
+		}
+		if rec.Type == wal.TypeBeginCheckpoint && rep.UsedCheckpoint && rec.CheckpointID == info.ID {
+			// The paper's backward scan for this marker, met on the way
+			// forward instead. Its redo scan start is the marker itself or
+			// the first LSN of the oldest transaction then active.
+			markerSeen, markerLSN, markerScanStart = true, e.LSN, e.LSN
+			for _, at := range rec.ActiveTxns {
+				markerScanStart = wal.MinLSN(markerScanStart, at.FirstLSN)
+			}
+		}
+		if e.LSN.Before(rep.ScanStartLSN) {
+			return nil
+		}
+		rep.RecordsScanned++
+		rep.LogBytesRead += e.Next.Sub(e.LSN)
+		if rec.Type == wal.TypeCommit {
+			committed[rec.TxnID] = true
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, errors.Join(fmt.Errorf("engine: recovery: locate log end: %w", err), reader.Close())
+		return nil, nil, errors.Join(fmt.Errorf("engine: recovery: log scan: %w", err), reader.Close())
 	}
 	rep.LogEndLSN = validEnd
 
 	if rep.UsedCheckpoint {
-		// Fidelity cross-check of the paper's backward scan: the
-		// begin-checkpoint marker for the recovered checkpoint must exist
-		// in the durable log and agree with the backup metadata.
-		marker, merr := reader.FindCheckpoint(validEnd, info.ID)
-		if merr != nil {
-			return nil, nil, errors.Join(fmt.Errorf("engine: recovery: %w", merr), reader.Close())
-		}
-		if marker.LSN != info.BeginLSN || marker.ScanStart != info.ScanStartLSN {
+		// Fidelity cross-check: the begin-checkpoint marker for the
+		// recovered checkpoint must exist in the durable log and agree
+		// with the backup metadata.
+		if !markerSeen {
 			return nil, nil, errors.Join(
-				fmt.Errorf("engine: recovery: marker/metadata mismatch: marker at %d (scan %d), metadata says %d (scan %d)",
-					marker.LSN, marker.ScanStart, info.BeginLSN, info.ScanStartLSN),
+				fmt.Errorf("engine: recovery: begin-checkpoint marker for checkpoint %d not found in the log", info.ID),
 				reader.Close())
 		}
-	}
-
-	committed := make(map[uint64]bool)
-	err = reader.Scan(rep.ScanStartLSN, func(e wal.Entry) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+		if markerLSN != info.BeginLSN || markerScanStart != info.ScanStartLSN {
+			return nil, nil, errors.Join(
+				fmt.Errorf("engine: recovery: marker/metadata mismatch: marker at %d (scan %d), metadata says %d (scan %d)",
+					markerLSN, markerScanStart, info.BeginLSN, info.ScanStartLSN),
+				reader.Close())
 		}
-		rep.RecordsScanned++
-		rep.LogBytesRead += e.Next.Sub(e.LSN)
-		if e.Rec.Type == wal.TypeCommit {
-			committed[e.Rec.TxnID] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, errors.Join(fmt.Errorf("engine: recovery: commit scan: %w", err), reader.Close())
 	}
 	rep.TxnsReplayed = len(committed)
 	rep.LogScanTime = time.Since(phaseBegan)
@@ -271,8 +287,9 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 			p.Storage.RecordBytes, touched, rep, eo)
 	} else {
 		recBuf := make([]byte, p.Storage.RecordBytes)
+		cancel := scanCancel{ctx: ctx}
 		err = reader.Scan(rep.ScanStartLSN, func(e wal.Entry) error {
-			if cerr := ctx.Err(); cerr != nil {
+			if cerr := cancel.at(e.LSN); cerr != nil {
 				return cerr
 			}
 			switch e.Rec.Type {
@@ -372,6 +389,28 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 	return e, rep, nil
 }
 
+// cancelStride is how much log a recovery scan decodes between looks at
+// its context — one scan window. ctx.Err() takes a mutex, which per
+// record would be a third of the scan loop.
+const cancelStride = 1 << 20
+
+// scanCancel rations a log scan's cancellation checks to one per
+// cancelStride of log.
+type scanCancel struct {
+	ctx  context.Context
+	next wal.LSN
+}
+
+// at returns ctx's error if the scan, now at lsn, has come a stride since
+// the last look (the first call always looks).
+func (c *scanCancel) at(lsn wal.LSN) error {
+	if lsn.Before(c.next) {
+		return nil
+	}
+	c.next = lsn.Advance(cancelStride)
+	return c.ctx.Err()
+}
+
 // applyRedoRecord applies one committed redo record — a physical
 // after-image or a logical operation — to the store, using recBuf as the
 // logical-op scratch buffer. It reports whether the record was logical.
@@ -453,10 +492,114 @@ func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, 
 	return nil
 }
 
+// redoBatchRecords is how many redo records ride one channel send to an
+// apply worker: enough that the channel handoff disappears next to the
+// work it carries, small enough (~40 KiB of 128-byte after-images) that a
+// batch stays in cache between the router writing it and the worker
+// reading it.
+const redoBatchRecords = 256
+
+// redoBatchesInFlight bounds the full batches queued to one worker, so
+// the scan stays at most a few batches ahead of the slowest worker.
+const redoBatchesInFlight = 4
+
+// redoOp is one committed redo record in a batch. The scan's records
+// alias its read window, so the payload is copied into the batch's slab:
+// the ops' payloads lie there back to back, n bytes each.
+type redoOp struct {
+	recordID uint64
+	n        int
+	opcode   uint16
+	typ      wal.RecordType
+}
+
+// redoBatch is a slab of redo records bound for one apply worker. Batches
+// are made once, sized for full-record after-images, and recycled through
+// the router's free list, so routing allocates nothing.
+type redoBatch struct {
+	ops  []redoOp
+	data []byte
+}
+
+// redoRouter fans the committed redo records of one log scan out to the
+// partitioned apply workers, batching per worker. All records of one
+// segment reach the same worker in log order.
+type redoRouter struct {
+	st      *storage.Store
+	workers int
+	chans   []chan *redoBatch
+	free    chan *redoBatch
+	cur     []*redoBatch // cur[w] is the batch being filled for worker w
+}
+
+func newRedoRouter(st *storage.Store, workers, recordBytes int) *redoRouter {
+	// Per worker: the batches queued to it, the one it is applying and
+	// the one being filled for it. With that many in circulation a taker
+	// never finds the free list empty for good, and a worker's hand-back
+	// never blocks.
+	batches := workers * (redoBatchesInFlight + 2)
+	r := &redoRouter{
+		st:      st,
+		workers: workers,
+		chans:   make([]chan *redoBatch, workers),
+		free:    make(chan *redoBatch, batches),
+		cur:     make([]*redoBatch, workers),
+	}
+	// ctxcheck:exempt(the free list has room for every batch and holds one per worker when the second loop takes them, so neither loop blocks)
+	for i := 0; i < batches; i++ {
+		r.free <- &redoBatch{
+			ops:  make([]redoOp, 0, redoBatchRecords),
+			data: make([]byte, 0, redoBatchRecords*recordBytes),
+		}
+	}
+	// ctxcheck:exempt(see above)
+	for w := range r.chans {
+		r.chans[w] = make(chan *redoBatch, redoBatchesInFlight)
+		r.cur[w] = <-r.free
+	}
+	return r
+}
+
+// route copies rec into the batch of the worker that owns its segment and
+// reports whether that filled the batch and sent it on.
+//
+// perf:hotpath(every committed redo record of a parallel recovery)
+func (r *redoRouter) route(rec *wal.Record) (sent bool) {
+	w := r.st.SegmentIndexOf(rec.RecordID) * r.workers / r.st.NumSegments()
+	b := r.cur[w]
+	b.ops = b.ops[:len(b.ops)+1] // within capacity: a batch is sent on when it reaches redoBatchRecords
+	b.ops[len(b.ops)-1] = redoOp{recordID: rec.RecordID, n: len(rec.Data), opcode: rec.OpCode, typ: rec.Type}
+	// alloc:allowed(grows, once per batch, only for payloads longer than a record — oversized logical operands)
+	b.data = append(b.data, rec.Data...)
+	if len(b.ops) < redoBatchRecords {
+		return false
+	}
+	r.chans[w] <- b
+	r.cur[w] = <-r.free
+	return true
+}
+
+// finish sends the partly filled batches and closes the workers' channels.
+func (r *redoRouter) finish() {
+	// ctxcheck:exempt(the workers drain their channels until closed, even after an error, so each send completes; cancellation is the scan's business)
+	for w, ch := range r.chans {
+		if len(r.cur[w].ops) > 0 {
+			ch <- r.cur[w]
+		}
+		close(ch)
+	}
+}
+
+// applied hands a batch back for reuse once its worker is done with it.
+func (r *redoRouter) applied(b *redoBatch) {
+	b.ops, b.data = b.ops[:0], b.data[:0]
+	r.free <- b
+}
+
 // applyRedoPartitioned is the parallel redo phase (DESIGN.md §15): the log
 // is scanned exactly once by this goroutine, which filters for committed
-// updates and routes each to a worker chosen by segment range. All
-// records of one segment reach the same worker in log order, so
+// updates and routes each, in batches, to a worker chosen by segment
+// range. All records of one segment reach the same worker in log order, so
 // last-in-log-wins per record is preserved and the applied image is
 // byte-identical to the serial scan. Workers that hit an error keep
 // draining their channel (recording only the first), so the scanner never
@@ -464,17 +607,13 @@ func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, 
 func applyRedoPartitioned(ctx context.Context, reader *wal.Reader, st *storage.Store, ops map[OpCode]OpFunc,
 	committed map[uint64]bool, par, recordBytes int, touched []bool,
 	rep *RecoveryReport, eo *engineObs) error {
-	n := st.NumSegments()
-	workers := min(par, n)
+	workers := min(par, st.NumSegments())
 	type applyResult struct {
 		applied, logical int
 		err              error
 	}
 	res := make([]applyResult, workers)
-	chans := make([]chan *wal.Record, workers)
-	for w := range chans {
-		chans[w] = make(chan *wal.Record, 256)
-	}
+	router := newRedoRouter(st, workers, recordBytes)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -483,20 +622,25 @@ func applyRedoPartitioned(ctx context.Context, reader *wal.Reader, st *storage.S
 			began := time.Now()
 			recBuf := make([]byte, recordBytes)
 			r := &res[w]
-			for rec := range chans[w] {
-				if r.err != nil {
-					continue
+			for b := range router.chans[w] {
+				data := b.data
+				// After an error the worker keeps draining but applies nothing.
+				for i := 0; i < len(b.ops) && r.err == nil; i++ {
+					op := &b.ops[i]
+					rec := wal.Record{Type: op.typ, RecordID: op.recordID, OpCode: op.opcode, Data: data[:op.n]}
+					data = data[op.n:]
+					logical, err := applyRedoRecord(st, ops, &rec, recBuf)
+					if err != nil {
+						r.err = err
+						break
+					}
+					if logical {
+						r.logical++
+					}
+					touched[st.SegmentIndexOf(op.recordID)] = true
+					r.applied++
 				}
-				logical, err := applyRedoRecord(st, ops, rec, recBuf)
-				if err != nil {
-					r.err = err
-					continue
-				}
-				if logical {
-					r.logical++
-				}
-				touched[st.SegmentIndexOf(rec.RecordID)] = true
-				r.applied++
+				router.applied(b)
 			}
 			eo.recApplyH.ObserveSince(began)
 			eo.recApplyRecsH.Observe(uint64(r.applied))
@@ -505,8 +649,9 @@ func applyRedoPartitioned(ctx context.Context, reader *wal.Reader, st *storage.S
 	// The scanner is the only cancellation point: it stops routing and
 	// the closed channels below let the workers drain and exit, so
 	// cancellation keeps the normal join discipline.
+	cancel := scanCancel{ctx: ctx}
 	scanErr := reader.Scan(rep.ScanStartLSN, func(e wal.Entry) error {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := cancel.at(e.LSN); cerr != nil {
 			return cerr
 		}
 		switch e.Rec.Type {
@@ -515,15 +660,15 @@ func applyRedoPartitioned(ctx context.Context, reader *wal.Reader, st *storage.S
 				rep.UpdatesDiscarded++
 				return nil
 			}
-			// The reader allocates a fresh Record per entry, so e.Rec can
-			// cross the channel without copying.
-			chans[st.SegmentIndexOf(e.Rec.RecordID)*workers/n] <- e.Rec
+			// e.Rec aliases the scan window and dies with this callback;
+			// route copies it into the worker's batch.
+			if router.route(e.Rec) {
+				return ctx.Err()
+			}
 		}
 		return nil
 	})
-	for _, ch := range chans {
-		close(ch)
-	}
+	router.finish()
 	wg.Wait()
 	for w := range res {
 		rep.UpdatesApplied += res[w].applied

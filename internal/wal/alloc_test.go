@@ -93,3 +93,57 @@ func TestAppendAllocationFreeTraced(t *testing.T) {
 			m.AppendSeconds.Count(), m.CommitAppendSeconds.Count())
 	}
 }
+
+// TestScanAllocationFree pins the forward scan at zero heap allocations
+// per record: frames are verified and decoded where they lie in the scan
+// window, into the scanner's one Record. A scan costs the same few
+// allocations (the scanner, its window, one active-transaction list the
+// markers share) whether it covers a hundred records or ten thousand
+// across several windows.
+func TestScanAllocationFree(t *testing.T) {
+	scanAllocs := func(records int) float64 {
+		path := filepath.Join(t.TempDir(), "scan.log")
+		l, err := Open(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		upd := &Record{Type: TypeUpdate, TxnID: 1, RecordID: 42, Data: make([]byte, 128)}
+		marker := &Record{Type: TypeBeginCheckpoint, CheckpointID: 1, ActiveTxns: []ActiveTxn{{TxnID: 1, FirstLSN: 0}}}
+		for i := 0; i < records; i++ {
+			rec := upd
+			if i%50 == 49 {
+				rec = marker
+			}
+			if _, _, err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if records >= 10000 && r.Size().Sub(r.Base()) <= scanWindow {
+			t.Fatalf("%d-record log fits one scan window", records)
+		}
+		n := 0
+		count := func(Entry) error { n++; return nil }
+		allocs := testing.AllocsPerRun(5, func() {
+			n = 0
+			if err := r.Scan(r.Base(), count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != records {
+			t.Fatalf("scanned %d of %d records", n, records)
+		}
+		return allocs
+	}
+	small, large := scanAllocs(100), scanAllocs(10000)
+	if large != small || large > 4 {
+		t.Errorf("Scan: %v allocs over 10000 records, %v over 100; want the same small constant", large, small)
+	}
+}

@@ -47,14 +47,26 @@ func fuzzSeedRecords() [][]byte {
 	return out
 }
 
+// fuzzWindows are the scan windows the fuzz targets compare against the
+// readAt walk: two small enough to split the seeds' frames and headers, and
+// one that holds a whole fuzz input, as ScanTail's does.
+var fuzzWindows = []int{5, 48, 4096}
+
 // FuzzReadRecord throws arbitrary bytes at the record decoder: it must
 // never panic or allocate unboundedly, and on success the reported frame
-// length must lie within the input.
+// length must lie within the input. The same bytes, as the body of a log
+// file, must scan identically through the windowed scanner and the readAt
+// walk.
 func FuzzReadRecord(f *testing.F) {
 	for _, seed := range fuzzSeedRecords() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		r := writeLogFile(t, data)
+		for _, window := range fuzzWindows {
+			assertScanMatchesReadAt(t, r, window)
+		}
+
 		rec, n, err := decodeFrom(data)
 		if err != nil {
 			if rec != nil {
@@ -79,7 +91,8 @@ func FuzzReadRecord(f *testing.F) {
 // FuzzRecover treats the fuzz input as the full contents of a log file
 // and drives the whole reader surface over it: opening, forward scans,
 // backward scans, and checkpoint location must never panic and must fail
-// only with typed errors.
+// only with typed errors, and the windowed forward scan must agree with the
+// readAt walk record for record.
 func FuzzRecover(f *testing.F) {
 	// Seeds: intact logs, torn tails, corrupted headers — header-prefixed
 	// versions of the record corpus.
@@ -123,6 +136,9 @@ func FuzzRecover(f *testing.F) {
 		}
 		if end < r.Base() || end > r.Size() {
 			t.Fatalf("intact end %d outside [%d,%d]", end, r.Base(), r.Size())
+		}
+		for _, window := range fuzzWindows {
+			assertScanMatchesReadAt(t, r, window)
 		}
 
 		// The intact prefix must support a full backward scan.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -94,8 +95,11 @@ func (r *Reader) SectionReader(from, to LSN) (*io.SectionReader, error) {
 	return io.NewSectionReader(r.f, r.FileOffset(from), int64(to-from)), nil
 }
 
-// readAt reads and decodes the record starting at lsn. It returns the
-// record and the LSN of the following record.
+// readAt reads and decodes the single record starting at lsn into a
+// Record that owns its bytes, and returns it with the LSN of the following
+// record. It is the random-access primitive under backward scans and the
+// reference the tests hold the windowed forward scanner to; forward scans
+// do not use it (two reads and three allocations per record).
 func (r *Reader) readAt(lsn LSN) (*Record, LSN, error) {
 	if lsn < r.base {
 		return nil, 0, fmt.Errorf("%w: lsn %d < base %d", ErrCompacted, lsn, r.base)
@@ -137,6 +141,12 @@ func (r *Reader) readAt(lsn LSN) (*Record, LSN, error) {
 }
 
 // Entry pairs a decoded record with its position in the log.
+//
+// A forward scan (Scan, ScanTail, ValidEnd) decodes in place: Rec is owned
+// by the scan, and its Data and ActiveTxns alias the scan's read window.
+// Rec is therefore valid only until the callback returns; a callback that
+// keeps the record, or any slice of it, must take Rec.Clone() (or copy the
+// bytes). Entries of a backward scan own their records.
 type Entry struct {
 	LSN  LSN
 	Next LSN
@@ -146,7 +156,8 @@ type Entry struct {
 // Scan invokes fn for each valid record from start in log order. Scanning
 // stops at the first torn or corrupt record (the tail lost in a crash) or
 // at end of file; neither is an error. fn may stop the scan early by
-// returning a non-nil error, which Scan returns unchanged.
+// returning a non-nil error, which Scan returns unchanged. e.Rec is valid
+// only during the call to fn (see Entry).
 func (r *Reader) Scan(start LSN, fn func(Entry) error) error {
 	_, _, err := r.ScanTail(start, fn) //nolint:errcheckwal // the discarded terminal reason is a classification, not an error; err is returned
 	return err
@@ -159,18 +170,128 @@ func (r *Reader) Scan(start LSN, fn func(Entry) error) error {
 // is a classification, not a failure — the returned error is nil unless fn
 // aborted the scan or a read failed outright.
 func (r *Reader) ScanTail(start LSN, fn func(Entry) error) (end LSN, terminal error, err error) {
+	window := scanWindow
+	if left := r.end.Sub(start); left < scanWindow {
+		window = int(max(left, 0)) // a short log needs no more than itself
+	}
+	return newScanner(r, window).scan(start, fn)
+}
+
+// scanWindow is how much log a forward scan reads per ReadAt: large enough
+// that the syscall and the page-cache copy are amortised over thousands of
+// records, small enough to stay cache-resident while they are decoded.
+const scanWindow = 1 << 20
+
+// scanner is the one forward-scan implementation: it reads the log a
+// window at a time and length-checks, checksums and decodes each frame
+// where it lies in the window, into the single Record it owns.
+type scanner struct {
+	r   *Reader
+	end LSN    // r.end, lowered if the file turns out shorter
+	buf []byte // buf[:n] holds the log bytes [at, at+n)
+	at  LSN
+	n   int
+	rec Record
+}
+
+// newScanner returns a scanner over r with the given window size. The
+// window grows only for a frame that does not fit in it.
+func newScanner(r *Reader, window int) *scanner {
+	return &scanner{r: r, end: r.end, buf: make([]byte, window)}
+}
+
+// window returns the buffered log bytes from lsn on, refilling the buffer
+// if fewer than need are there. It returns fewer than need only when the
+// file ends first.
+//
+// perf:hotpath(every record of every forward scan asks for its bytes here)
+func (s *scanner) window(lsn LSN, need int) ([]byte, error) {
+	var held []byte // what the window already holds from lsn on
+	if lsn >= s.at && lsn-s.at <= LSN(s.n) {
+		held = s.buf[lsn-s.at : s.n]
+	}
+	if len(held) >= need {
+		return held, nil
+	}
+	return s.refill(lsn, need, held)
+}
+
+// refill repositions the window to start at lsn, keeping the bytes it
+// already held from there on (the start of a frame cut by the old window's
+// end) and reading the rest, so that each log byte is read once per scan.
+func (s *scanner) refill(lsn LSN, need int, held []byte) ([]byte, error) {
+	if need > len(s.buf) {
+		// alloc:allowed(a frame larger than the window: grow once to fit it)
+		grown := make([]byte, need)
+		copy(grown, held)
+		s.buf = grown
+	} else {
+		copy(s.buf, held)
+	}
+	have := len(held)
+	want := len(s.buf)
+	if left := s.end - lsn; left < LSN(want) {
+		want = int(left)
+	}
+	n, err := s.r.f.ReadAt(s.buf[have:want], s.r.FileOffset(lsn)+int64(have))
+	s.at, s.n = lsn, have+n
+	if err != nil {
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, err
+		}
+		// The file is shorter than it was when the reader opened it:
+		// whatever was cut off is a torn tail.
+		s.end = lsn + LSN(s.n)
+	}
+	return s.buf[:s.n], nil
+}
+
+// scan is ScanTail over the scanner's window.
+//
+// perf:hotpath(the per-record loop of recovery's two log passes)
+func (s *scanner) scan(start LSN, fn func(Entry) error) (end LSN, terminal error, err error) {
+	if start < s.r.base {
+		err := fmt.Errorf("%w: lsn %d < base %d", ErrCompacted, start, s.r.base)
+		return start, err, err
+	}
 	lsn := start
 	for {
-		rec, next, rerr := r.readAt(lsn)
-		switch {
-		case rerr == nil:
-		case errors.Is(rerr, io.EOF), errors.Is(rerr, ErrTruncated), errors.Is(rerr, ErrCorrupt):
-			return lsn, rerr, nil
-		default:
-			return lsn, rerr, rerr
+		if lsn >= s.end {
+			return lsn, io.EOF, nil
 		}
+		b, err := s.window(lsn, headerSize)
+		if err != nil {
+			return lsn, err, err
+		}
+		if len(b) < headerSize {
+			// Fewer than headerSize bytes remain: the frame was cut off
+			// mid-header by a torn tail.
+			return lsn, ErrTruncated, nil
+		}
+		plen := int(binary.LittleEndian.Uint32(b))
+		if plen <= 0 || plen > MaxPayload {
+			return lsn, ErrCorrupt, nil
+		}
+		total := headerSize + plen + trailerSize
+		if lsn+LSN(total) > s.end {
+			// The header is plausible but the frame runs past the end of
+			// the file: the tail of the record was lost, not scribbled on.
+			return lsn, ErrTruncated, nil
+		}
+		if len(b) < total {
+			if b, err = s.window(lsn, total); err != nil {
+				return lsn, err, err
+			}
+			if len(b) < total {
+				return lsn, ErrTruncated, nil
+			}
+		}
+		if _, err := decodeFrame(b[:total], &s.rec); err != nil {
+			return lsn, err, nil
+		}
+		next := lsn + LSN(total)
 		if fn != nil {
-			if ferr := fn(Entry{LSN: lsn, Next: next, Rec: rec}); ferr != nil {
+			if ferr := fn(Entry{LSN: lsn, Next: next, Rec: &s.rec}); ferr != nil {
 				return lsn, nil, ferr
 			}
 		}

@@ -235,17 +235,32 @@ func appendEncoded(dst []byte, r *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// decodePayload decodes a verified payload into r.
+// Clone returns a deep copy of r that owns its Data and ActiveTxns. A
+// forward scan hands out records that alias its read window (see Entry);
+// a caller that keeps one past its callback clones it.
+func (r *Record) Clone() *Record {
+	c := *r
+	c.Data = append([]byte(nil), r.Data...)
+	c.ActiveTxns = append([]ActiveTxn(nil), r.ActiveTxns...)
+	return &c
+}
+
+// decodePayload decodes a verified payload into r in place: r is
+// overwritten, r.Data aliases payload, and r.ActiveTxns reuses r's
+// previous backing array, so a caller that recycles one Record decodes
+// without allocating (a marker with more active transactions than any
+// before it grows the array once).
+//
+// perf:hotpath(recovery decodes every surviving log record through here)
 func decodePayload(payload []byte, r *Record) error {
 	if len(payload) < 1 {
 		return ErrCorrupt
 	}
-	r.Type = RecordType(payload[0])
+	*r = Record{Type: RecordType(payload[0]), ActiveTxns: r.ActiveTxns[:0]}
 	b := payload[1:]
-	need := func(n int) bool { return len(b) >= n }
 	switch r.Type {
 	case TypeUpdate:
-		if !need(20) {
+		if len(b) < 20 {
 			return ErrCorrupt
 		}
 		r.TxnID = binary.LittleEndian.Uint64(b)
@@ -255,9 +270,9 @@ func decodePayload(payload []byte, r *Record) error {
 		if len(b) != dlen {
 			return ErrCorrupt
 		}
-		r.Data = append([]byte(nil), b...)
+		r.Data = b
 	case TypeLogicalUpdate:
-		if !need(22) {
+		if len(b) < 22 {
 			return ErrCorrupt
 		}
 		r.TxnID = binary.LittleEndian.Uint64(b)
@@ -268,14 +283,14 @@ func decodePayload(payload []byte, r *Record) error {
 		if len(b) != dlen {
 			return ErrCorrupt
 		}
-		r.Data = append([]byte(nil), b...)
+		r.Data = b
 	case TypeCommit, TypeAbort:
-		if !need(8) {
+		if len(b) < 8 {
 			return ErrCorrupt
 		}
 		r.TxnID = binary.LittleEndian.Uint64(b)
 	case TypeBeginCheckpoint:
-		if !need(22) {
+		if len(b) < 22 {
 			return ErrCorrupt
 		}
 		r.CheckpointID = binary.LittleEndian.Uint64(b)
@@ -287,13 +302,15 @@ func decodePayload(payload []byte, r *Record) error {
 		if len(b) != n*16 {
 			return ErrCorrupt
 		}
-		r.ActiveTxns = make([]ActiveTxn, n)
-		for i := 0; i < n; i++ {
-			r.ActiveTxns[i].TxnID = binary.LittleEndian.Uint64(b[i*16:])
-			r.ActiveTxns[i].FirstLSN = LSN(binary.LittleEndian.Uint64(b[i*16+8:]))
+		for ; len(b) > 0; b = b[16:] {
+			// alloc:allowed(grows only for a marker with more active transactions than any before it in the scan)
+			r.ActiveTxns = append(r.ActiveTxns, ActiveTxn{
+				TxnID:    binary.LittleEndian.Uint64(b),
+				FirstLSN: LSN(binary.LittleEndian.Uint64(b[8:])),
+			})
 		}
 	case TypeEndCheckpoint:
-		if !need(9) {
+		if len(b) < 9 {
 			return ErrCorrupt
 		}
 		r.CheckpointID = binary.LittleEndian.Uint64(b)
@@ -304,31 +321,46 @@ func decodePayload(payload []byte, r *Record) error {
 	return nil
 }
 
-// decodeFrom decodes the record starting at buf[0] and returns the record
-// and its total framed length. buf may extend past the record.
-func decodeFrom(buf []byte) (*Record, int, error) {
+// decodeFrame verifies the framing and checksum of the record starting
+// at buf[0] and decodes it into r in place (see decodePayload for the
+// aliasing). It returns the record's total framed length; buf may extend
+// past the record.
+//
+// perf:hotpath(recovery verifies every surviving log record through here)
+func decodeFrame(buf []byte, r *Record) (int, error) {
 	if len(buf) < headerSize {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	plen := int(binary.LittleEndian.Uint32(buf))
 	if plen <= 0 || plen > MaxPayload {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	total := headerSize + plen + trailerSize
 	if len(buf) < total {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	wantCRC := binary.LittleEndian.Uint32(buf[4:])
 	payload := buf[headerSize : headerSize+plen]
 	if crc32.Checksum(payload, crcTable) != wantCRC {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	if tl := int(binary.LittleEndian.Uint32(buf[headerSize+plen:])); tl != plen {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	r := new(Record)
 	if err := decodePayload(payload, r); err != nil {
+		return 0, err
+	}
+	return total, nil
+}
+
+// decodeFrom decodes the record starting at buf[0] into a new Record that
+// owns its bytes, and returns it with its total framed length. buf may
+// extend past the record.
+func decodeFrom(buf []byte) (*Record, int, error) {
+	var r Record
+	total, err := decodeFrame(buf, &r)
+	if err != nil {
 		return nil, 0, err
 	}
-	return r, total, nil
+	return r.Clone(), total, nil
 }
