@@ -21,12 +21,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The crash matrix: every checkpoint algorithm × every named crash point
-# (internal/faultfs) × {serial, 4-worker} checkpoint/recovery pipelines
-# (TestCrashMatrixParallel arms the per-worker crash points), recovered
-# and checked against the committed-transaction oracle, under the race
-# detector. The -tags slow soak (TestCrashMatrixSoak) multiplies seeds
-# and workload length.
+# The crash matrix: every checkpoint algorithm × {serial, 4-worker}
+# checkpoint/recovery pipelines × every named crash point
+# (internal/faultfs; TestCrashMatrix arms the per-worker points on its
+# width axis), recovered and checked against the committed-transaction
+# oracle, under the race detector. The -tags slow soak
+# (TestCrashMatrixSoak) multiplies seeds and workload length.
 crashmatrix:
 	$(GO) test -race -run 'TestCrash|TestCommitInDoubt|TestRecoveryParallelEquivalence' ./internal/testbed/ ./kvstore/
 

@@ -109,12 +109,13 @@ type Config struct {
 	// the head no recovery can need after each checkpoint.
 	DisableLogCompaction bool
 
-	// CheckpointParallelism is the number of concurrent segment copy/flush
-	// workers each checkpoint sweep fans out to. Zero resolves to
-	// min(GOMAXPROCS, 8); 1 runs the original serial sweeps. Each
-	// algorithm's per-segment protocol is preserved — only the write-ahead
-	// LSN wait and the ping-pong metadata commit are shared barriers (see
-	// DESIGN.md §15).
+	// CheckpointParallelism is the number of segments each batch of the
+	// checkpoint sweep secures concurrently, one worker per segment. Zero
+	// resolves to min(GOMAXPROCS, 8); 1 is the serial checkpointer — the
+	// same sweep with one-segment batches, run without a worker goroutine.
+	// Each algorithm's per-segment protocol is the same at every width —
+	// only the write-ahead LSN wait and the ping-pong metadata commit are
+	// shared barriers (see DESIGN.md §15).
 	CheckpointParallelism int
 
 	// RecoveryParallelism is the number of concurrent backup-load stripe
@@ -151,10 +152,12 @@ type Config struct {
 	// internal/faultfs); nil means the OS directly.
 	FS FS
 
-	// CheckpointSegmentHook, if set, runs after the checkpointer finishes
-	// each segment; returning an error aborts that checkpoint. worker is
-	// the sweep worker that processed the segment (always 0 when
-	// CheckpointParallelism is 1). It exists for fault injection (crashing
+	// CheckpointSegmentHook, if set, runs once for every segment the
+	// checkpoint sweep secures — flushed or found clean, under every
+	// algorithm — after the segment's image (if any) is written; returning
+	// an error aborts that checkpoint. worker is the sweep worker that
+	// processed the segment: its position in its batch, so always 0 when
+	// CheckpointParallelism is 1. It exists for fault injection (crashing
 	// between segment flushes).
 	CheckpointSegmentHook func(checkpointID uint64, worker, segIdx int) error
 

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,6 +77,89 @@ func TestOpenBackupHookMemStore(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// failOnceStore is a backup.Store whose next WriteSegment after arming
+// fails without touching the slot — a transient I/O error.
+type failOnceStore struct {
+	backup.Store
+	armed atomic.Bool
+}
+
+var errInjectedWrite = errors.New("injected segment write failure")
+
+func (s *failOnceStore) WriteSegment(copyIdx, idx int, ckptID uint64, data []byte) error {
+	if s.armed.CompareAndSwap(true, false) {
+		return errInjectedWrite
+	}
+	return s.Store.WriteSegment(copyIdx, idx, ckptID, data)
+}
+
+// TestFailedFlushKeepsSegmentDirty is the regression test for the
+// dirty-bit data loss: a sweep clears Dirty[target] when it secures a
+// segment, so a segment write that then fails must set the bit again.
+// Otherwise the following partial checkpoints skip the segment, seal its
+// stale slot into a complete copy, and compact away the log records that
+// could have repaired it — committed updates vanish at the next crash.
+func TestFailedFlushKeepsSegmentDirty(t *testing.T) {
+	for _, alg := range AllAlgorithms() {
+		for _, par := range []int{1, 2} {
+			alg, par := alg, par
+			t.Run(fmt.Sprintf("%v/par%d", alg, par), func(t *testing.T) {
+				var store *failOnceStore
+				p := parallelParams(t, alg, par)
+				p.OpenBackup = func(dir string, numSegments, segmentBytes int) (backup.Store, error) {
+					fs, err := backup.Open(dir, numSegments, segmentBytes)
+					store = &failOnceStore{Store: fs}
+					return store, err
+				}
+				e := mustOpen(t, p)
+				writeAll := func(mul, add uint64) {
+					t.Helper()
+					for rid := uint64(0); rid < 64; rid++ {
+						if err := e.ExecWrite(rid, encVal(rid*mul+add)); err != nil {
+							t.Fatalf("ExecWrite(%d): %v", rid, err)
+						}
+					}
+				}
+				checkpoint := func() {
+					t.Helper()
+					if _, err := e.Checkpoint(); err != nil {
+						t.Fatalf("Checkpoint: %v", err)
+					}
+				}
+
+				writeAll(3, 1)
+				checkpoint() // copy 0 complete
+				checkpoint() // copy 1 complete
+				writeAll(7, 5)
+				store.armed.Store(true)
+				if _, err := e.Checkpoint(); !errors.Is(err, errInjectedWrite) {
+					t.Fatalf("Checkpoint with a failing segment write = %v, want the injected error", err)
+				}
+				// Same copy, other copy, same copy again: by now the slot
+				// the failed write left stale sits in the newest complete
+				// copy and the log before it is compacted.
+				checkpoint()
+				checkpoint()
+				checkpoint()
+				if err := e.Crash(); err != nil {
+					t.Fatalf("Crash: %v", err)
+				}
+
+				e2, _, err := Recover(p)
+				if err != nil {
+					t.Fatalf("Recover: %v", err)
+				}
+				defer e2.Close()
+				for rid := uint64(0); rid < 64; rid++ {
+					if got, want := readVal(t, e2, rid), rid*7+5; got != want {
+						t.Errorf("record %d = %d, want %d", rid, got, want)
+					}
+				}
+			})
+		}
 	}
 }
 

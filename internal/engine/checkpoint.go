@@ -39,11 +39,11 @@ func (e *Engine) Checkpoint() (*CheckpointResult, error) {
 }
 
 // CheckpointContext is Checkpoint with cancellation: ctx is consulted
-// between segments (serial sweeps) or between worker batches (parallel
-// sweeps), never mid-segment, so a cancelled checkpoint leaves the target
-// copy incomplete but every flushed segment image intact — exactly the
-// state a crash mid-checkpoint leaves, which recovery already handles by
-// falling back to the other ping-pong copy.
+// between sweep batches (of CheckpointParallelism segments), never
+// mid-segment, so a cancelled checkpoint leaves the target copy incomplete
+// but every flushed segment image intact — exactly the state a crash
+// mid-checkpoint leaves, which recovery already handles by falling back to
+// the other ping-pong copy.
 //
 // lockorder:acquires Engine.ckptMu
 // lockorder:releases Engine.ckptMu
@@ -158,24 +158,28 @@ func (e *Engine) CheckpointContext(ctx context.Context) (*CheckpointResult, erro
 		return nil, err
 	}
 
-	var flushed, skipped int
-	var bytes int64
-	par := e.params.CheckpointParallelism
+	// Eight algorithms, five per-segment protocols; the copy/flush
+	// variants of a family differ only in the copies flag.
+	var proto sweepProtocol
 	switch {
-	case par > 1:
-		flushed, skipped, bytes, err = e.sweepParallel(ctx, run, par)
 	case alg.Fuzzy():
-		flushed, skipped, bytes, err = e.sweepFuzzy(ctx, run)
+		proto = sweepProtocol{prepare: (*Engine).prepareFuzzy}
 	case alg.TwoColor():
-		flushed, skipped, bytes, err = e.sweepTwoColor(ctx, run)
+		proto = sweepProtocol{prepare: (*Engine).prepareTwoColor, twoColor: true}
 	case alg.CopyOnUpdate():
-		flushed, skipped, bytes, err = e.sweepCOU(ctx, run)
+		proto = sweepProtocol{prepare: (*Engine).prepareCOU}
 	case alg == Zigzag:
-		flushed, skipped, bytes, err = e.sweepZigzag(ctx, run)
+		proto = sweepProtocol{prepare: (*Engine).prepareZigzag}
 	case alg == Hourglass:
-		flushed, skipped, bytes, err = e.sweepHourglass(ctx, run)
+		proto = sweepProtocol{prepare: (*Engine).prepareHourglass, drainsPending: true}
 	default:
 		err = fmt.Errorf("engine: unknown algorithm %v", alg)
+	}
+	proto.copies = alg.CopiesSegments()
+	var flushed, skipped int
+	var bytes int64
+	if err == nil {
+		flushed, skipped, bytes, err = e.sweep(ctx, run, proto)
 	}
 
 	e.cur.Store(nil)
@@ -283,8 +287,8 @@ func (e *Engine) waitLSN(lsn wal.LSN) error {
 }
 
 // segmentDone runs the fault-injection hook, if any, after a segment has
-// been processed. worker identifies the sweep worker (0 in serial sweeps)
-// so tests can arm per-worker crash points.
+// been processed. worker identifies the sweep worker (the segment's slot
+// in its batch) so tests can arm per-worker crash points.
 func (e *Engine) segmentDone(run *ckptRun, worker, idx int) error {
 	if e.params.SegmentHook == nil {
 		return nil
@@ -339,7 +343,7 @@ func (e *Engine) endRunCleanup(alg Algorithm) {
 
 // dropOldCopies releases any copy-on-update old versions left attached to
 // segments (created in the race window just behind the checkpointer's
-// cursor; see sweepCOU).
+// cursor; see sweep).
 //
 // lockorder:held Engine.ckptMu
 func (e *Engine) dropOldCopies() {

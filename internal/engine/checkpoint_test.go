@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -109,44 +110,63 @@ func TestTwoColorConflictAborts(t *testing.T) {
 }
 
 // TestTwoColorWriterBlocksCheckpointer verifies the lock interplay of Pu's
-// algorithm: a segment with an in-flight writer cannot be processed until
-// the writer commits (the checkpointer's shared segment lock conflicts
-// with the writer's intention-exclusive lock).
+// algorithm at both pipeline widths: a segment with an in-flight writer
+// cannot be processed until the writer commits (the checkpointer's shared
+// segment lock conflicts with the writer's intention-exclusive lock), and
+// per Figure 3.1 the checkpointer passes over it — securing every other
+// white segment first — and blocks on it only when nothing else is left.
 func TestTwoColorWriterBlocksCheckpointer(t *testing.T) {
-	p := testParams(t, TwoColorFlush)
-	p.Full = true
-	e := mustOpen(t, p)
-	defer e.Close()
+	for _, par := range []int{1, 4} {
+		par := par
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			p := parallelParams(t, TwoColorFlush, par)
+			p.Full = true
+			e := mustOpen(t, p)
+			defer e.Close()
 
-	tx, err := e.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Write(0, encVal(1)); err != nil { // IX on segment 0 until commit
-		t.Fatal(err)
-	}
+			tx, err := e.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(0, encVal(1)); err != nil { // IX on segment 0 until commit
+				t.Fatal(err)
+			}
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Checkpoint()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("checkpoint finished with a writer holding segment 0: %v", err)
-	case <-time.After(100 * time.Millisecond):
-		// Blocked (or at least not finished), as required.
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("checkpoint after commit: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("checkpoint never finished after writer committed")
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.Checkpoint()
+				done <- err
+			}()
+			others := uint64(e.store.NumSegments() - 1)
+			deadline := time.Now().Add(10 * time.Second)
+			for e.Stats().SegmentsFlushed < others {
+				if time.Now().After(deadline) {
+					t.Fatalf("checkpointer flushed %d segments around the held one, want %d",
+						e.Stats().SegmentsFlushed, others)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("checkpoint finished with a writer holding segment 0: %v", err)
+			case <-time.After(100 * time.Millisecond):
+				// Blocked (or at least not finished), as required.
+			}
+			if got := e.Stats().SegmentsFlushed; got != others {
+				t.Fatalf("SegmentsFlushed = %d with segment 0 held, want %d", got, others)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("checkpoint after commit: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("checkpoint never finished after writer committed")
+			}
+		})
 	}
 }
 

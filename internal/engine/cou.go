@@ -1,98 +1,44 @@
 package engine
 
-import "context"
-
-// sweepCOU implements the copy-on-update checkpoints of Section 3.2.2
-// (Figure 3.3, after DeWitt et al.).
+// prepareCOU is the per-segment rule of the copy-on-update checkpoints of
+// Section 3.2.2 (Figure 3.3, after DeWitt et al.).
 //
 // Checkpoint begin has already quiesced the system, stamped the checkpoint
 // τ(CH), logged the begin-checkpoint record and flushed the log tail (see
-// Engine.Checkpoint). The transaction-consistent state at that instant is
-// the snapshot this sweep writes out. Transactions updating a
+// Engine.CheckpointContext). The transaction-consistent state at that
+// instant is the snapshot the sweep writes out. Transactions updating a
 // not-yet-dumped segment first preserve its old version (Txn.install), so
-// the sweep flushes, for each segment in order:
+// for each segment, in order, the sweep flushes:
 //
 //   - the old copy, if one exists (the segment was updated after the
-//     checkpoint began), or
+//     checkpoint began) — it is private to the checkpointer once taken, so
+//     it is flushed with no latch — or
 //   - the live segment, which provably contains only pre-checkpoint data
 //     (any post-begin update ahead of the cursor would have created an old
-//     copy first).
+//     copy first): COUCOPY (the slot has a buffer) copies it under the
+//     latch and flushes after unlatching; COUFLUSH flushes while latched.
 //
-// COUCOPY copies the live segment to a buffer under the latch and flushes
-// after unlatching; COUFLUSH flushes while latched. Old copies are flushed
-// without any locking — they are private to the checkpointer once taken.
+// An old copy is flushed if the segment was dirty for the target copy when
+// it was preserved (or on a full checkpoint). The live segment's dirty bit
+// stays set — its newer contents still owe the target copy a flush at the
+// next checkpoint.
 //
-// No LSN checks are needed: every update in the snapshot predates the
+// No LSN is recorded: every update in the snapshot predates the
 // begin-checkpoint record, whose log-tail flush made it durable.
-//
-// lockorder:held Engine.ckptMu
-// walorder:stable-tail every snapshotted update predates the begin-checkpoint record, whose log-tail flush (Engine.Checkpoint) already made it durable
-func (e *Engine) sweepCOU(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	copyMode := e.params.Algorithm == COUCopy
-	segBytes := e.store.Config().SegmentBytes
-	var buf []byte
-	if copyMode {
-		buf = make([]byte, segBytes)
-	}
-
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
+func (e *Engine) prepareCOU(run *ckptRun, s *ckptSlot) {
+	seg := e.store.Seg(s.idx)
+	seg.Lock()
+	if old := seg.TakeOld(); old != nil {
+		e.ctr.bumpCOULive(-1)
+		if e.params.Full || old.Dirty[run.target] {
+			s.data = old.Data
 		}
-		seg := e.store.Seg(i)
-		wrote := false
-		seg.Lock()
-		if old := seg.TakeOld(); old != nil {
-			seg.Unlock()
-			e.ctr.bumpCOULive(-1)
-			// Flush the preserved pre-checkpoint version if the segment
-			// was dirty for the target copy when it was preserved (or on a
-			// full checkpoint). The live segment's dirty bit stays set —
-			// its newer contents still owe the target copy a flush at the
-			// next checkpoint.
-			if e.params.Full || old.Dirty[run.target] {
-				if err = e.flushSegment(run, i, old.Data); err != nil {
-					return flushed, skipped, bytes, err
-				}
-				wrote = true
-			}
+	} else if e.takeDirty(run, seg, s) {
+		if s.buf != nil {
+			e.snapshot(seg, s)
 		} else {
-			need := e.params.Full || seg.Dirty[run.target]
-			switch {
-			case !need:
-				seg.Unlock()
-			case copyMode:
-				seg.Snapshot(buf)
-				seg.Dirty[run.target] = false
-				seg.Unlock()
-				e.ctr.checkpointerCopy.Add(1)
-				if err = e.flushSegment(run, i, buf); err != nil {
-					return flushed, skipped, bytes, err
-				}
-				wrote = true
-			default: // COUFLUSH: write while latched
-				seg.Dirty[run.target] = false
-				err = e.flushSegment(run, i, seg.Data)
-				seg.Unlock()
-				if err != nil {
-					return flushed, skipped, bytes, err
-				}
-				wrote = true
-			}
-		}
-		if wrote {
-			flushed++
-			bytes += int64(segBytes)
-		} else {
-			skipped++
-		}
-		// Advance the cursor only after the segment is secured: updaters
-		// of segments at or below curSeg skip old-version preservation.
-		run.curSeg.Store(int64(i))
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
+			e.flushSlot(run, s, seg.Data)
 		}
 	}
-	return flushed, skipped, bytes, nil
+	seg.Unlock()
 }

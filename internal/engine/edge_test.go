@@ -322,29 +322,54 @@ func TestRecoverFreshDirFails(t *testing.T) {
 	}
 }
 
-// TestSegmentHookOnlyOnProcessedSegments: the fault-injection hook fires
-// once per flushed segment during a partial checkpoint.
-func TestSegmentHookRunsPerFlushedSegment(t *testing.T) {
-	var calls []int
-	p := testParams(t, FuzzyCopy)
-	p.SegmentHook = func(_ uint64, _, segIdx int) error {
-		calls = append(calls, segIdx)
-		return nil
-	}
-	e := mustOpen(t, p)
-	defer e.Close()
-	if err := e.Exec(func(tx *Txn) error {
-		if err := tx.Write(0, encVal(1)); err != nil { // segment 0
-			return err
-		}
-		return tx.Write(16, encVal(1)) // segment 2
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 2 || calls[0] != 0 || calls[1] != 2 {
-		t.Errorf("hook calls = %v, want [0 2]", calls)
+// TestSegmentHookRunsPerSecuredSegment: the fault-injection hook fires by
+// one rule for every algorithm — once per segment the scan secures, in
+// scan order, whether the partial checkpoint flushed the segment or found
+// it clean — and the sweep's pool metrics are observed by the same rule.
+func TestSegmentHookRunsPerSecuredSegment(t *testing.T) {
+	for _, alg := range allAlgorithms {
+		alg := alg
+		t.Run(alg.String(), func(t *testing.T) {
+			var calls []int
+			p := testParams(t, alg)
+			p.SegmentHook = func(_ uint64, _, segIdx int) error {
+				calls = append(calls, segIdx)
+				return nil
+			}
+			e := mustOpen(t, p)
+			defer e.Close()
+			if err := e.Exec(func(tx *Txn) error {
+				if err := tx.Write(0, encVal(1)); err != nil { // segment 0
+					return err
+				}
+				return tx.Write(16, encVal(1)) // segment 2
+			}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SegmentsFlushed != 2 {
+				t.Errorf("SegmentsFlushed = %d, want 2", res.SegmentsFlushed)
+			}
+			n := e.store.NumSegments()
+			if len(calls) != n {
+				t.Fatalf("hook fired %d times, want once per segment (%d): %v", len(calls), n, calls)
+			}
+			for i, c := range calls {
+				if c != i {
+					t.Fatalf("hook calls = %v, want scan order 0..%d", calls, n-1)
+				}
+			}
+			// The driver observes the pool metrics at every width: here n
+			// batches of one slot each.
+			if got := e.eo.ckptBatchH.Count(); got != uint64(n) {
+				t.Errorf("mmdb_ckpt_worker_batch_segments count = %d, want %d", got, n)
+			}
+			if got := e.eo.ckptWorkerH.Count(); got != uint64(n) {
+				t.Errorf("mmdb_ckpt_worker_flush_seconds count = %d, want %d", got, n)
+			}
+		})
 	}
 }

@@ -1,77 +1,32 @@
 package engine
 
-import "context"
-
-// sweepFuzzy implements the fuzzy checkpoints of Section 3.1.
+// prepareFuzzy is the per-segment rule of the fuzzy checkpoints of
+// Section 3.1.
 //
-// FUZZYCOPY: each (dirty) segment is copied into a main-memory I/O buffer
-// under a brief latch; the buffered copy is flushed to the backup disks
-// only once the log is durable past the segment's last update (the LSN
-// condition), which preserves the write-ahead rule with no transaction
-// synchronization at all.
+// FUZZYCOPY (the slot has a buffer): each dirty segment is copied into a
+// main-memory I/O buffer under a brief latch; the buffered copy is flushed
+// to the backup disks only once the log is durable past the segment's last
+// update (the LSN condition), which preserves the write-ahead rule with no
+// transaction synchronization at all.
 //
 // FASTFUZZY: with a stable log tail every logged update is already
 // durable, so segments are flushed directly from the database with neither
-// the buffer copy nor the LSN check (Section 4).
+// the buffer copy nor the LSN check (Section 4). The latch only excludes
+// concurrent installs for the duration of a buffered file write.
 //
 // The resulting backup is fuzzy: a transaction committing during the sweep
 // may have some of its updates in flushed segments and others not. The
 // begin-checkpoint marker's active-transaction list tells recovery how far
 // back the redo scan must start to repair this.
-//
-// lockorder:held Engine.ckptMu
-func (e *Engine) sweepFuzzy(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	direct := e.params.Algorithm == FastFuzzy
-	var buf []byte
-	if !direct {
-		buf = make([]byte, e.store.Config().SegmentBytes)
-	}
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		seg := e.store.Seg(i)
-		if direct {
-			seg.Lock()
-			if !e.params.Full && !seg.Dirty[run.target] {
-				seg.Unlock()
-				skipped++
-				continue
-			}
-			seg.Dirty[run.target] = false
-			// Flush straight from the live segment while latched: the
-			// stable tail guarantees the write-ahead rule, and the latch
-			// only excludes concurrent installs for the duration of a
-			// buffered file write.
-			err = e.flushSegment(run, i, seg.Data) // walorder:stable-tail FASTFUZZY runs under a stable log tail (Section 4): every logged update is already durable
-			seg.Unlock()
-			if err != nil {
-				return flushed, skipped, bytes, err
-			}
+func (e *Engine) prepareFuzzy(run *ckptRun, s *ckptSlot) {
+	seg := e.store.Seg(s.idx)
+	seg.Lock()
+	if e.takeDirty(run, seg, s) {
+		if s.buf != nil {
+			s.lsn = e.snapshot(seg, s)
 		} else {
-			seg.Lock()
-			if !e.params.Full && !seg.Dirty[run.target] {
-				seg.Unlock()
-				skipped++
-				continue
-			}
-			lsn := seg.Snapshot(buf)
-			seg.Dirty[run.target] = false
-			seg.Unlock()
-			e.ctr.checkpointerCopy.Add(1)
-			if werr := e.waitLSN(lsn); werr != nil {
-				return flushed, skipped, bytes, werr
-			}
-			if err = e.flushSegment(run, i, buf); err != nil {
-				return flushed, skipped, bytes, err
-			}
-		}
-		flushed++
-		bytes += int64(e.store.Config().SegmentBytes)
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
+			e.flushSlot(run, s, seg.Data)
 		}
 	}
-	return flushed, skipped, bytes, nil
+	seg.Unlock()
 }

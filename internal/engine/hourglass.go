@@ -27,7 +27,6 @@ package engine
 // checkpointer NEVER latches a segment while holding the pool mutex.
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -269,152 +268,61 @@ func (tx *Txn) hourglassPreserve(run *ckptRun, seg *storage.Segment, segIdx int)
 	e.ctr.bumpCOULive(1)
 }
 
-// hgProcess secures one segment for the run: it paints the segment with
-// the run ID (making processing idempotent and stopping further
-// preservation), then flushes either the preserved old copy — returning
-// its buffer to the pool — or the live segment while latched (COUFLUSH
-// style). As with COU, the live dirty bit stays set after an old-copy
-// flush: the newer live contents still owe the target a flush at the
-// next checkpoint.
+// prepareHourglass is HOURGLASS's per-segment rule, shared by the in-order
+// scan and the pending-list drain: it paints the segment with the run ID
+// (making the rule idempotent — s.painted reports a repeat — and stopping
+// further preservation), then flushes either the preserved old copy,
+// returning its buffer to the pool, or the live segment while latched
+// (COUFLUSH style). As with COU, the live dirty bit stays set after an
+// old-copy flush: the newer live contents still owe the target a flush at
+// the next checkpoint.
 //
-// No LSN checks are needed: every flushed image predates the
-// begin-checkpoint record, whose log-tail flush made it durable.
-//
-// lockorder:held Engine.ckptMu
-// walorder:stable-tail every hourglass image flushed here predates the begin-checkpoint record, whose log-tail flush (Engine.CheckpointContext) already made it durable
-func (e *Engine) hgProcess(run *ckptRun, idx int) (wrote, processed bool, err error) {
-	seg := e.store.Seg(idx)
+// No LSN is recorded: every flushed image predates the begin-checkpoint
+// record, whose log-tail flush made it durable.
+func (e *Engine) prepareHourglass(run *ckptRun, s *ckptSlot) {
+	seg := e.store.Seg(s.idx)
 	seg.Lock()
 	if seg.Paint == run.id {
 		seg.Unlock()
-		return false, false, nil // already secured (priority drain vs scan)
+		s.painted = true
+		return
 	}
 	seg.Paint = run.id
 	if old := seg.TakeOld(); old != nil {
 		seg.Unlock()
 		e.ctr.bumpCOULive(-1)
 		if e.params.Full || old.Dirty[run.target] {
-			err = e.flushSegment(run, idx, old.Data)
-			wrote = err == nil
+			e.flushSlot(run, s, old.Data)
 		}
 		e.hg.put(old)
-		return wrote, true, err
+		return
 	}
-	if !e.params.Full && !seg.Dirty[run.target] {
-		seg.Unlock()
-		return false, true, nil
+	if e.takeDirty(run, seg, s) {
+		e.flushSlot(run, s, seg.Data)
 	}
-	seg.Dirty[run.target] = false
-	err = e.flushSegment(run, idx, seg.Data)
 	seg.Unlock()
-	return err == nil, true, err
 }
 
-// hgDrain processes every segment currently on the pending list,
-// folding results into the sweep totals. Draining ahead of the in-order
-// scan is what recycles window buffers fast enough for writers.
+// hgDrain secures every segment currently on the pending list, folding
+// the outcomes into the sweep's tally. The sweep runs it between batches:
+// draining ahead of the in-order scan is what recycles window buffers
+// fast enough for writers. The fault hook never fires from here, only
+// from the scan, so hook hit counts stay deterministic regardless of
+// writer interleaving.
 //
 // lockorder:held Engine.ckptMu
-func (e *Engine) hgDrain(run *ckptRun, segBytes int, flushed, skipped *int, bytes *int64) error {
+func (e *Engine) hgDrain(run *ckptRun, tally *sweepTally) error {
 	for {
 		idx, ok := e.hg.popPending()
 		if !ok {
 			return nil
 		}
-		wrote, processed, err := e.hgProcess(run, idx)
-		if err != nil {
-			return err
+		s := ckptSlot{idx: idx}
+		e.prepareHourglass(run, &s)
+		if s.err != nil {
+			e.restoreDirty(run, &s)
+			return s.err
 		}
-		if processed {
-			if wrote {
-				*flushed++
-				*bytes += int64(segBytes)
-			} else {
-				*skipped++
-			}
-		}
+		tally.add(&s)
 	}
-}
-
-// sweepHourglass is the serial HOURGLASS sweep: drain the pending list,
-// then secure the next segment in order, repeating. The fault-injection
-// hook fires once per segment from the in-order scan only (never from
-// the drain), so hook hit counts stay deterministic regardless of writer
-// interleaving.
-//
-// lockorder:held Engine.ckptMu
-func (e *Engine) sweepHourglass(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	segBytes := e.store.Config().SegmentBytes
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		if err = e.hgDrain(run, segBytes, &flushed, &skipped, &bytes); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		wrote, processed, perr := e.hgProcess(run, i)
-		if perr != nil {
-			return flushed, skipped, bytes, perr
-		}
-		if processed {
-			if wrote {
-				flushed++
-				bytes += int64(segBytes)
-			} else {
-				skipped++
-			}
-		}
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
-		}
-	}
-	// Preservation requires Paint != run.id and the scan painted every
-	// segment, so no old copy can appear from here on. The pending list
-	// can still name already-processed segments; drain it so hgEndRun
-	// starts from an empty list.
-	err = e.hgDrain(run, segBytes, &flushed, &skipped, &bytes)
-	return flushed, skipped, bytes, err
-}
-
-// sweepHourglassParallel is the parallel HOURGLASS sweep: the
-// coordinator drains the pending list between batches, and each batch
-// fans its segments out to workers running hgProcess — idempotent via
-// the paint, so a drain/batch overlap on the same segment is harmless.
-//
-// lockorder:held Engine.ckptMu
-func (e *Engine) sweepHourglassParallel(ctx context.Context, run *ckptRun, par int) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	segBytes := e.store.Config().SegmentBytes
-	slots := make([]ckptSlot, par)
-	for base := 0; base < n; base += par {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		if err = e.hgDrain(run, segBytes, &flushed, &skipped, &bytes); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		count := min(par, n-base)
-		e.eo.ckptBatchH.Observe(uint64(count))
-		fanOut(count, func(w int) {
-			slot := &slots[w]
-			*slot = ckptSlot{idx: base + w}
-			wrote, processed, perr := e.hgProcess(run, slot.idx)
-			if perr != nil {
-				slot.err = perr
-				return
-			}
-			if processed {
-				slot.flushed = wrote
-				slot.skipped = !wrote
-			}
-			slot.err = e.segmentDone(run, w, slot.idx)
-		})
-		tally(slots, count, segBytes, &flushed, &skipped, &bytes)
-		if err = firstSlotErr(slots, count); err != nil {
-			return flushed, skipped, bytes, err
-		}
-	}
-	err = e.hgDrain(run, segBytes, &flushed, &skipped, &bytes)
-	return flushed, skipped, bytes, err
 }

@@ -127,12 +127,13 @@ type Params struct {
 	// can need them).
 	DisableLogCompaction bool
 
-	// CheckpointParallelism is the number of concurrent segment copy/flush
-	// workers a checkpoint sweep fans out to. Zero resolves to
-	// min(GOMAXPROCS, 8); 1 runs the original serial sweeps. The
-	// per-segment protocol of each algorithm is preserved; only the
-	// write-ahead LSN wait and the ping-pong metadata commit are shared
-	// barriers (see DESIGN.md §15).
+	// CheckpointParallelism is the number of segments each batch of the
+	// checkpoint sweep secures concurrently, one worker per segment. Zero
+	// resolves to min(GOMAXPROCS, 8); 1 is the serial checkpointer — the
+	// same sweep with one-segment batches, run without a worker goroutine.
+	// The per-segment protocol of each algorithm is the same at every
+	// width; only the write-ahead LSN wait and the ping-pong metadata
+	// commit are shared barriers (see DESIGN.md §15).
 	CheckpointParallelism int
 
 	// RecoveryParallelism is the number of concurrent backup-load stripe
@@ -150,11 +151,14 @@ type Params struct {
 	// DefaultHourglassWindow; ignored by every other algorithm.
 	HourglassWindow int
 
-	// SegmentHook, if set, runs after the checkpointer finishes each
-	// segment; returning an error aborts the checkpoint with that error.
-	// worker is the index of the sweep worker that processed the segment
-	// (always 0 in serial sweeps). It exists for fault injection in tests
-	// (e.g., crashing mid-checkpoint to exercise ping-pong recovery).
+	// SegmentHook, if set, runs once for every segment the sweep's scan
+	// secures — flushed or found clean, under every algorithm — after the
+	// segment's image (if any) is written; returning an error aborts the
+	// checkpoint with that error. worker is the index of the sweep worker
+	// that processed the segment: its slot in its batch, so always 0 when
+	// CheckpointParallelism is 1. HOURGLASS's pending-list drain never
+	// runs it. It exists for fault injection in tests (e.g., crashing
+	// mid-checkpoint to exercise ping-pong recovery).
 	SegmentHook func(checkpointID uint64, worker, segIdx int) error
 
 	// FS, when non-nil, is the filesystem the log and backup copies are

@@ -1,149 +1,39 @@
 package engine
 
-import (
-	"context"
-	"errors"
-	"fmt"
-
-	"mmdb/internal/lockmgr"
-	"mmdb/internal/wal"
-)
-
-// sweepTwoColor implements the black/white locking checkpoints of Section
-// 3.2.1 (after Pu's on-the-fly consistent reading algorithm, Figure 3.1).
+// prepareTwoColor is the per-segment rule of the black/white locking
+// checkpoints of Section 3.2.1 (after Pu's on-the-fly consistent reading
+// algorithm, Figure 3.1).
 //
-// Every segment starts white; the checkpointer repeatedly picks a white
-// segment that is not exclusively locked (falling back to a blocking wait
-// when all remaining white segments are held by writers), locks it in
-// shared mode, processes it, paints it black, and unlocks it. The shared
-// segment lock conflicts with the intention-exclusive locks writers hold,
-// so a processed segment contains no uncommitted data, and the two-color
-// abort rule in the transaction path serializes transactions entirely
-// before or after the checkpoint.
+// Every segment starts white; the sweep picks a white segment that is not
+// exclusively locked (pickBatch), locks it in shared mode, and hands it
+// here to be processed and painted black. The shared segment lock conflicts
+// with the intention-exclusive locks writers hold, so a processed segment
+// contains no uncommitted data, and the two-color abort rule in the
+// transaction path serializes transactions entirely before or after the
+// checkpoint.
 //
-// 2CFLUSH holds the segment lock across the LSN wait and the disk write;
-// 2CCOPY copies the segment to a buffer under the lock, releases the lock,
-// and flushes the buffer afterwards — trading data movement for shorter
-// lock hold times.
+// 2CCOPY (the slot has a buffer) copies the segment under the lock and
+// releases it at once — "the segment can be unlocked as soon as it is
+// copied" — trading data movement for a shorter lock hold. 2CFLUSH
+// captures the live image instead and keeps the lock until finishSlot has
+// written it: the lock excludes writers, so the image is stable across the
+// LSN wait and the disk write without the latch. A clean segment never
+// needs the lock past the paint.
 //
-// lockorder:held Engine.ckptMu
-func (e *Engine) sweepTwoColor(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	copyMode := e.params.Algorithm == TwoColorCopy
-	var buf []byte
-	if copyMode {
-		buf = make([]byte, e.store.Config().SegmentBytes)
-	}
-
-	// handle processes one white segment; the caller must have acquired
-	// the checkpointer's shared lock on it. handle releases the lock at
-	// the algorithm's prescribed point.
-	// lockorder:held Engine.ckptMu
-	// lockorder:held mmdb/internal/lockmgr.Manager.table
-	handle := func(i int) error {
-		seg := e.store.Seg(i)
-		if copyMode {
-			seg.Lock()
-			need := e.params.Full || seg.Dirty[run.target]
-			var lsn wal.LSN
-			if need {
-				lsn = seg.Snapshot(buf)
-				seg.Dirty[run.target] = false
-				e.ctr.checkpointerCopy.Add(1)
-			}
-			seg.Paint = run.id // paint black
-			seg.Unlock()
-			// "The segment can be unlocked as soon as it is copied."
-			e.locks.Unlock(checkpointerOwner, segKey(i))
-			if !need {
-				skipped++
-				return nil
-			}
-			if werr := e.waitLSN(lsn); werr != nil {
-				return werr
-			}
-			if ferr := e.flushSegment(run, i, buf); ferr != nil {
-				return ferr
-			}
+// lockorder:held mmdb/internal/lockmgr.Manager.table
+func (e *Engine) prepareTwoColor(run *ckptRun, s *ckptSlot) {
+	seg := e.store.Seg(s.idx)
+	seg.Lock()
+	if e.takeDirty(run, seg, s) {
+		if s.buf != nil {
+			s.lsn = e.snapshot(seg, s)
 		} else {
-			seg.Lock()
-			need := e.params.Full || seg.Dirty[run.target]
-			lsn := seg.LastLSN
-			if need {
-				seg.Dirty[run.target] = false
-			}
-			seg.Paint = run.id
-			seg.Unlock()
-			if !need {
-				e.locks.Unlock(checkpointerOwner, segKey(i))
-				skipped++
-				return nil
-			}
-			// "2CFLUSH requires that segments be locked for the duration
-			// of a disk I/O operation, plus any delay needed to satisfy
-			// the LSN condition." The shared lock excludes writers, so the
-			// live image is stable during the write.
-			if werr := e.waitLSN(lsn); werr != nil {
-				e.locks.Unlock(checkpointerOwner, segKey(i))
-				return werr
-			}
-			ferr := e.flushSegment(run, i, seg.Data) //nolint:lockcheck // stable: the lock-manager S lock excludes writers (see comment above)
-			e.locks.Unlock(checkpointerOwner, segKey(i))
-			if ferr != nil {
-				return ferr
-			}
+			s.lsn, s.data = seg.LastLSN, seg.Data
 		}
-		flushed++
-		bytes += int64(e.store.Config().SegmentBytes)
-		return nil
 	}
-
-	white := make([]int, n)
-	for i := range white {
-		white[i] = i
+	seg.Paint = run.id // paint black
+	seg.Unlock()
+	if s.buf != nil || s.data == nil {
+		e.unlockSlot(s)
 	}
-	for len(white) > 0 {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		// Opportunistic pass: process every white segment whose lock is
-		// free right now.
-		remaining := white[:0]
-		for _, i := range white {
-			if err = ctx.Err(); err != nil {
-				return flushed, skipped, bytes, err
-			}
-			if e.locks.TryLock(checkpointerOwner, segKey(i), lockmgr.S) {
-				if err = handle(i); err != nil {
-					return flushed, skipped, bytes, err
-				}
-				if err = e.segmentDone(run, 0, i); err != nil {
-					return flushed, skipped, bytes, err
-				}
-			} else {
-				remaining = append(remaining, i)
-			}
-		}
-		white = remaining
-		if len(white) == 0 {
-			break
-		}
-		// Every remaining white segment is locked by a writer: "request
-		// read (shared) lock on any white segment and wait."
-		i := white[0]
-		if lerr := e.locks.Lock(checkpointerOwner, segKey(i), lockmgr.S, 0); lerr != nil {
-			if errors.Is(lerr, lockmgr.ErrShutdown) {
-				return flushed, skipped, bytes, ErrStopped
-			}
-			return flushed, skipped, bytes, fmt.Errorf("engine: two-color wait on segment %d: %w", i, lerr)
-		}
-		if err = handle(i); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		white = white[1:]
-	}
-	return flushed, skipped, bytes, nil
 }

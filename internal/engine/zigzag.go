@@ -33,13 +33,6 @@ package engine
 // but the writer-side cost is a segment copy into a preallocated slab —
 // no per-update allocation at all.
 
-import (
-	"context"
-	"time"
-
-	"mmdb/internal/storage"
-)
-
 // zigzagArm sets the two zigzag bits on every segment for a new run.
 // Called from CheckpointContext with the transaction gate still closed
 // (quiesced) and the begin record flushed, before the run is published,
@@ -57,100 +50,28 @@ func (e *Engine) zigzagArm(run *ckptRun) {
 	}
 }
 
-// sweepZigzag is the serial ZIGZAG sweep: capture the begin-state image
-// pointer under a brief latch, flush it unlatched.
+// prepareZigzag is ZIGZAG's per-segment rule: read and consume the
+// segment's zigzag bits and capture the begin-state image for finishSlot
+// to flush unlatched. While ZigPending the live image IS the begin-state
+// image and the flush covers the segment's current contents, so the
+// target dirty bit clears; after a flip the parked shadow is begin-state
+// only, and the live image still owes the target a flush at the next
+// checkpoint (the dirty bit stays set, as with a COU old copy).
 //
-// No LSN checks are needed: every update in a captured image predates
-// the begin-checkpoint record, whose log-tail flush made it durable.
-//
-// lockorder:held Engine.ckptMu
-// walorder:stable-tail every captured zigzag image predates the begin-checkpoint record, whose log-tail flush (Engine.CheckpointContext) already made it durable
-func (e *Engine) sweepZigzag(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	segBytes := e.store.Config().SegmentBytes
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		seg := e.store.Seg(i)
-		seg.Lock()
-		data, need := e.zigzagCapture(seg, run)
-		seg.Unlock()
-		if !need {
-			skipped++
+// No LSN is recorded: every update in a captured image predates the
+// begin-checkpoint record, whose log-tail flush made it durable.
+func (e *Engine) prepareZigzag(run *ckptRun, s *ckptSlot) {
+	seg := e.store.Seg(s.idx)
+	seg.Lock()
+	if seg.SnapNeed {
+		seg.SnapNeed = false
+		if seg.ZigPending {
+			seg.Dirty[run.target] = false
+			s.cleared = true
+			s.data = seg.Data
 		} else {
-			if err = e.flushSegment(run, i, data); err != nil {
-				return flushed, skipped, bytes, err
-			}
-			flushed++
-			bytes += int64(segBytes)
-		}
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
+			s.data = seg.Shadow
 		}
 	}
-	return flushed, skipped, bytes, nil
-}
-
-// zigzagCapture reads and consumes the segment's zigzag bits for this
-// run, returning the begin-state image to flush (nil, false when the
-// segment owes nothing). While ZigPending the live image IS the
-// begin-state image and the flush covers the segment's current contents,
-// so the target dirty bit clears; after a flip the parked shadow is
-// begin-state only, and the live image still owes the target a flush at
-// the next checkpoint (the dirty bit stays set, as with a COU old copy).
-//
-// lockcheck:held seg
-func (e *Engine) zigzagCapture(seg *storage.Segment, run *ckptRun) (data []byte, need bool) {
-	if !seg.SnapNeed {
-		return nil, false
-	}
-	seg.SnapNeed = false
-	if seg.ZigPending {
-		seg.Dirty[run.target] = false
-		return seg.Data, true
-	}
-	return seg.Shadow, true
-}
-
-// sweepZigzagParallel is the parallel ZIGZAG sweep: single-phase like
-// FASTFUZZY — no barrier, because no worker ever waits on the log — but
-// with the capture-then-flush-unlatched protocol of the serial sweep.
-//
-// lockorder:held Engine.ckptMu
-// walorder:stable-tail every captured zigzag image predates the begin-checkpoint record, whose log-tail flush (Engine.CheckpointContext) already made it durable
-func (e *Engine) sweepZigzagParallel(ctx context.Context, run *ckptRun, par int) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	segBytes := e.store.Config().SegmentBytes
-	slots := make([]ckptSlot, par)
-	for base := 0; base < n; base += par {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		count := min(par, n-base)
-		e.eo.ckptBatchH.Observe(uint64(count))
-		fanOut(count, func(w int) {
-			slot := &slots[w]
-			*slot = ckptSlot{idx: base + w, began: time.Now()}
-			seg := e.store.Seg(slot.idx)
-			seg.Lock()
-			data, need := e.zigzagCapture(seg, run)
-			seg.Unlock()
-			if !need {
-				slot.skipped = true
-			} else {
-				if slot.err = e.flushSegment(run, slot.idx, data); slot.err != nil {
-					return
-				}
-				slot.flushed = true
-			}
-			slot.err = e.segmentDone(run, w, slot.idx)
-			e.eo.ckptWorkerH.ObserveSince(slot.began)
-		})
-		tally(slots, count, segBytes, &flushed, &skipped, &bytes)
-		if err = firstSlotErr(slots, count); err != nil {
-			return flushed, skipped, bytes, err
-		}
-	}
-	return flushed, skipped, bytes, nil
+	seg.Unlock()
 }

@@ -3,76 +3,12 @@ package testbed
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"mmdb"
-	"mmdb/internal/faultfs"
 )
-
-// TestCrashMatrixParallel extends the crash matrix with the parallelism
-// axis: every algorithm runs with the serial pipeline (1 worker, armed at
-// the worker-0 crash point, which the serial sweeps report) and with a
-// 4-worker pool (armed at the worker-1 point, so the fault can only fire
-// if the pool really fans out). Torn backup writes are exercised under
-// the 4-worker pool, where several workers write the target copy
-// concurrently.
-func TestCrashMatrixParallel(t *testing.T) {
-	type cell struct {
-		point faultfs.Point
-		kind  faultfs.Kind
-	}
-	seeds := []int64{1, 2}
-	if testing.Short() {
-		seeds = []int64{1}
-	}
-	for _, alg := range mmdb.Algorithms {
-		for _, par := range []int{1, 4} {
-			// The serial sweeps attribute every segment to worker 0; with a
-			// pool, arming worker 1 proves a second worker actually ran.
-			worker := 0
-			if par > 1 {
-				worker = 1
-			}
-			cells := []cell{
-				{faultfs.PointCheckpointSegWorker(worker), faultfs.Crash},
-			}
-			if par > 1 {
-				cells = append(cells,
-					cell{"backup.write", faultfs.Crash},
-					cell{"backup.write", faultfs.Torn},
-				)
-			}
-			for _, c := range cells {
-				for _, seed := range seeds {
-					name := fmt.Sprintf("%v/par%d/%s/%v/seed%d", alg, par, c.point, c.kind, seed)
-					alg, par, c, seed := alg, par, c, seed
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						rep, err := RunCrash(CrashScenario{
-							Algorithm:   alg,
-							Point:       c.point,
-							Kind:        c.kind,
-							Seed:        seed,
-							Dir:         t.TempDir(),
-							Parallelism: par,
-						})
-						if err != nil {
-							t.Fatalf("seed %d: %v", seed, err)
-						}
-						if !rep.Crashed {
-							t.Fatalf("seed %d: fault never fired", seed)
-						}
-						t.Logf("seed %d: acked=%d inDoubt=%d fired=%+v",
-							seed, rep.Acked, rep.InDoubt, rep.Fired)
-					})
-				}
-			}
-		}
-	}
-}
 
 // copyTree duplicates a flat database directory so the same crashed state
 // can be recovered twice independently.

@@ -21,7 +21,7 @@ func TestCrashMatrixSoak(t *testing.T) {
 		t.Skip("soak test; run without -short")
 	}
 	for _, alg := range mmdb.Algorithms {
-		for _, cell := range matrixCells(false) {
+		for _, cell := range matrixCells(false, 1) {
 			if alg == mmdb.FastFuzzy && (cell.point == "wal.write" || cell.point == "wal.sync" || cell.point == "wal.rename") {
 				continue
 			}

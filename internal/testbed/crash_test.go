@@ -18,10 +18,22 @@ type matrixCell struct {
 	kind  faultfs.Kind
 }
 
-// matrixCells covers every named crash point on the write path, with torn
-// writes where the operation carries a payload and transient I/O errors on
-// the two hottest points.
-func matrixCells(short bool) []matrixCell {
+// matrixCells returns the cells of the matrix at one checkpoint/recovery
+// pipeline width. Width 1 covers every named crash point on the write
+// path, with torn writes where the operation carries a payload and
+// transient I/O errors on the two hottest points, plus the worker-0 point
+// (a one-slot batch runs on the coordinator, worker 0). The 4-worker pool
+// is armed at the worker-1 point — which can only fire if the pool really
+// fans out — and at backup.write, where several workers now write the
+// target copy concurrently.
+func matrixCells(short bool, par int) []matrixCell {
+	if par > 1 {
+		return []matrixCell{
+			{faultfs.PointCheckpointSegWorker(1), faultfs.Crash},
+			{"backup.write", faultfs.Crash},
+			{"backup.write", faultfs.Torn},
+		}
+	}
 	cells := []matrixCell{
 		{"wal.write", faultfs.Crash},
 		{"wal.sync", faultfs.Crash},
@@ -31,6 +43,7 @@ func matrixCells(short bool) []matrixCell {
 		{"backup.meta.write", faultfs.Crash},
 		{"backup.meta.rename", faultfs.Crash},
 		{faultfs.PointCheckpointSeg, faultfs.Crash},
+		{faultfs.PointCheckpointSegWorker(0), faultfs.Crash},
 		{"wal.write", faultfs.Torn},
 		{"backup.write", faultfs.Torn},
 	}
@@ -54,40 +67,43 @@ func crashMatrixSeeds(short bool) []int64 {
 }
 
 // TestCrashMatrix is the standing correctness gate: every checkpoint
-// algorithm × every named crash point must recover to the committed-
-// transaction oracle. Each cell prints its seed on failure; re-run a
-// single cell with -run 'TestCrashMatrix/<name>'.
+// algorithm × {serial, 4-worker} pipeline × every named crash point must
+// recover to the committed-transaction oracle. Each cell prints its seed
+// on failure; re-run a single cell with -run 'TestCrashMatrix/<name>'.
 func TestCrashMatrix(t *testing.T) {
 	for _, alg := range mmdb.Algorithms {
-		for _, cell := range matrixCells(testing.Short()) {
-			if alg == mmdb.FastFuzzy && (cell.point == "wal.write" || cell.point == "wal.sync" || cell.point == "wal.rename") {
-				// FASTFUZZY models a stable log tail: log writes survive
-				// the crash by definition, so wal faults cannot fire
-				// meaningfully (the class is halt-exempt).
-				continue
-			}
-			for _, seed := range crashMatrixSeeds(testing.Short()) {
-				name := fmt.Sprintf("%v/%s/%v/seed%d", alg, cell.point, cell.kind, seed)
-				alg, cell, seed := alg, cell, seed
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					rep, err := RunCrash(CrashScenario{
-						Algorithm: alg,
-						Point:     cell.point,
-						Kind:      cell.kind,
-						Seed:      seed,
-						Dir:       t.TempDir(),
+		for _, par := range []int{1, 4} {
+			for _, cell := range matrixCells(testing.Short(), par) {
+				if alg == mmdb.FastFuzzy && (cell.point == "wal.write" || cell.point == "wal.sync" || cell.point == "wal.rename") {
+					// FASTFUZZY models a stable log tail: log writes survive
+					// the crash by definition, so wal faults cannot fire
+					// meaningfully (the class is halt-exempt).
+					continue
+				}
+				for _, seed := range crashMatrixSeeds(testing.Short()) {
+					name := fmt.Sprintf("%v/par%d/%s/%v/seed%d", alg, par, cell.point, cell.kind, seed)
+					alg, par, cell, seed := alg, par, cell, seed
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						rep, err := RunCrash(CrashScenario{
+							Algorithm:   alg,
+							Point:       cell.point,
+							Kind:        cell.kind,
+							Seed:        seed,
+							Dir:         t.TempDir(),
+							Parallelism: par,
+						})
+						if err != nil {
+							t.Fatalf("seed %d: %v", seed, err)
+						}
+						if cell.kind != faultfs.ErrIO && !rep.Crashed {
+							t.Fatalf("seed %d: fault never fired", seed)
+						}
+						t.Logf("seed %d: acked=%d inDoubt=%d recoveredWithInDoubt=%v fired=%+v torn=%dB",
+							seed, rep.Acked, rep.InDoubt, rep.RecoveredWithInDoubt,
+							rep.Fired, rep.Recovery.TornTailBytes)
 					})
-					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					if cell.kind != faultfs.ErrIO && !rep.Crashed {
-						t.Fatalf("seed %d: fault never fired", seed)
-					}
-					t.Logf("seed %d: acked=%d inDoubt=%d recoveredWithInDoubt=%v fired=%+v torn=%dB",
-						seed, rep.Acked, rep.InDoubt, rep.RecoveredWithInDoubt,
-						rep.Fired, rep.Recovery.TornTailBytes)
-				})
+				}
 			}
 		}
 	}
